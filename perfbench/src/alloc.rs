@@ -1,0 +1,59 @@
+//! Allocation counting for the traced binary.
+//!
+//! The traced binary installs [`CountingAlloc`] as its global allocator;
+//! the untraced binary keeps the system allocator, so end-to-end numbers
+//! never pay for the count. Counts are per thread: a caller reads
+//! [`thread_allocs`] before and after a call and the difference is the
+//! number of allocations that call made on this thread.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from the
+    // allocator never allocates or registers anything.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// System allocator that counts `alloc`, `alloc_zeroed` and `realloc`
+/// calls on the calling thread.
+pub struct CountingAlloc;
+
+fn bump() {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the only addition is a thread-local counter bump, which
+// neither allocates nor touches the returned memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: forwarded contract of `GlobalAlloc::alloc`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: forwarded contract of `GlobalAlloc::alloc_zeroed`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded contract of `GlobalAlloc::dealloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: forwarded contract of `GlobalAlloc::realloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// Allocations made so far on the calling thread (always 0 unless
+/// [`CountingAlloc`] is the global allocator).
+pub fn thread_allocs() -> u64 {
+    ALLOCS.try_with(Cell::get).unwrap_or(0)
+}
