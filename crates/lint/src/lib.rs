@@ -37,6 +37,9 @@ const HOT_PATH_CRATES: &[&str] = &["wire", "server", "proxy"];
 const HOT_PATH_FILES: &[&str] = &[
     "crates/replay/src/engine.rs",
     "crates/replay/src/retry.rs",
+    // The querier's receive loop matches every answer and runs the
+    // timeout wheel; a panic there stalls a whole shard's drain.
+    "crates/replay/src/recv.rs",
     "crates/netsim/src/tcp.rs",
     // The span ring records a stamp per query stage inside the send path;
     // a panic or allocation spike here would distort the very latencies
@@ -197,6 +200,8 @@ mod tests {
         assert!(s.hot_path && !s.wire);
         let s = workspace_scope(Path::new("crates/replay/src/retry.rs"));
         assert!(s.hot_path, "the retry layer rides the engine hot path");
+        let s = workspace_scope(Path::new("crates/replay/src/recv.rs"));
+        assert!(s.hot_path, "the receive loop matches every answer");
         let s = workspace_scope(Path::new("crates/replay/src/plan.rs"));
         assert!(!s.hot_path);
         let s = workspace_scope(Path::new("crates/netsim/src/tcp.rs"));

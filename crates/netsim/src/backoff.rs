@@ -2,11 +2,11 @@
 //! simulator's loss machinery and the live replay engine's retry path.
 //!
 //! Everything here is a pure function of a seed and a key — no RNG state,
-//! no locks — so concurrent callers (a timeout sweeper racing a send path,
-//! or a server deciding packet fates in arrival order) get the *same*
-//! decisions regardless of interleaving. That is what makes chaos runs
-//! reproducible under a fixed seed (the repeatability requirement of
-//! LDplayer §2.1) even over real sockets.
+//! no locks — so concurrent callers (a receive loop's timeout tick
+//! racing a send path, or a server deciding packet fates in arrival
+//! order) get the *same* decisions regardless of interleaving. That is
+//! what makes chaos runs reproducible under a fixed seed (the
+//! repeatability requirement of LDplayer §2.1) even over real sockets.
 
 use std::time::Duration;
 

@@ -12,12 +12,14 @@
 //!   accumulated processing delay from the trace-relative send time,
 //! * [`engine`] — the live tokio implementation used for the §4
 //!   replay-fidelity and throughput experiments (real sockets, loopback);
-//!   the paper's processes-on-many-hosts become tasks-in-one-process with
-//!   channels standing in for the TCP control connections — the dataflow,
-//!   affinity, and timing logic are identical,
+//!   the paper's processes-on-many-hosts become threads-in-one-process
+//!   with channels standing in for the TCP control connections — the
+//!   dataflow, affinity, and timing logic are identical,
+//! * `recv` — each querier's receive loop: one epoll thread that matches
+//!   answers, expires and retransmits, and counts every event once,
 //! * [`retry`] — the engine's fault-tolerance layer: answer timeouts over
 //!   a timer wheel, UDP retransmits with exponential backoff + jitter,
-//!   TCP reconnects, and the fault counters that account for all of it,
+//!   and TCP reconnects,
 //! * [`simclient`] — querier nodes for [`ldp_netsim`], used by the §5
 //!   protocol experiments (controlled RTT, TCP/TLS connection reuse,
 //!   latency distributions).
@@ -26,6 +28,7 @@
 
 pub mod engine;
 pub mod plan;
+mod recv;
 pub mod retry;
 pub mod simclient;
 pub mod timing;

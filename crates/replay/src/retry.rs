@@ -10,22 +10,17 @@
 //!   the same model the simulator uses), and TCP reconnect attempts.
 //! * [`TimeoutWheel`] — a coarse hashed timer wheel over in-flight query
 //!   ids. Scheduling is one `Vec` push under the pending-table lock the
-//!   sender already holds, so the no-fault hot path pays near zero; a
-//!   per-querier sweeper task drains due buckets every tick.
-//! * [`FaultCounters`] — shared atomics the sender, receiver, and sweeper
-//!   all bump, folded into [`ldp_metrics::ShardStats`] at the end.
+//!   sender already holds, so the no-fault hot path pays near zero; each
+//!   querier's receive loop drains due buckets every tick.
 //!
 //! Fidelity note: a retransmit keeps its original query's message id and
 //! outcome slot. It is never counted as a new trace query — `sent` counts
 //! trace records put on the wire once; `retries` counts the extra
 //! datagrams separately.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use ldp_netsim::Backoff;
-
-use ldp_metrics::ShardStats;
 
 /// Timeout/retry/reconnect configuration for one replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,32 +92,11 @@ impl serde::Serialize for RetryPolicy {
     }
 }
 
-/// Fault counters shared between a querier's send path, receive tasks,
-/// and timeout sweeper; folded into [`ShardStats`] when the querier ends.
-#[derive(Debug, Default)]
-pub struct FaultCounters {
-    pub timeouts: AtomicU64,
-    pub retries: AtomicU64,
-    pub reconnects: AtomicU64,
-    pub gave_up: AtomicU64,
-    pub errors: AtomicU64,
-}
-
-impl FaultCounters {
-    pub fn fold_into(&self, stats: &mut ShardStats) {
-        stats.timeouts = self.timeouts.load(Ordering::Relaxed);
-        stats.retries = self.retries.load(Ordering::Relaxed);
-        stats.reconnects = self.reconnects.load(Ordering::Relaxed);
-        stats.gave_up = self.gave_up.load(Ordering::Relaxed);
-        stats.errors = self.errors.load(Ordering::Relaxed);
-    }
-}
-
 /// Coarse hashed timer wheel over in-flight message ids.
 ///
 /// Entries are `(id, attempt)` pairs hashed into [`TimeoutWheel::BUCKETS`]
 /// buckets by deadline tick. The wheel itself never decides expiry — the
-/// sweeper re-checks the authoritative deadline stored in the pending
+/// receive loop re-checks the authoritative deadline stored in the pending
 /// table, so stale entries (the id was answered, or re-used by a later
 /// attempt) cost one skipped lookup, and an entry more than one rotation
 /// out is simply re-scheduled when its bucket comes around early.
@@ -136,9 +110,9 @@ pub(crate) struct TimeoutWheel {
 
 impl TimeoutWheel {
     pub(crate) const BUCKETS: usize = 64;
-    /// Bucket granularity; also the sweeper's poll interval. Coarse on
+    /// Bucket granularity; also the receive loop's longest wait. Coarse on
     /// purpose: expiry a few ms late is invisible next to a 250 ms
-    /// timeout, and coarse ticks keep the sweeper nearly idle.
+    /// timeout, and coarse ticks keep an idle loop nearly idle.
     pub(crate) const TICK: Duration = Duration::from_millis(16);
 
     pub(crate) fn new(start: Instant) -> TimeoutWheel {
@@ -245,21 +219,5 @@ mod tests {
         w.schedule(9, 0, deadline);
         w.due(deadline + TimeoutWheel::TICK, &mut out);
         assert_eq!(out, vec![(9, 0)]);
-    }
-
-    #[test]
-    fn counters_fold_into_shard_stats() {
-        let c = FaultCounters::default();
-        c.timeouts.store(4, Ordering::Relaxed);
-        c.retries.store(3, Ordering::Relaxed);
-        c.reconnects.store(2, Ordering::Relaxed);
-        c.gave_up.store(1, Ordering::Relaxed);
-        c.errors.store(5, Ordering::Relaxed);
-        let mut s = ShardStats::new(0);
-        c.fold_into(&mut s);
-        assert_eq!(
-            (s.timeouts, s.retries, s.reconnects, s.gave_up, s.errors),
-            (4, 3, 2, 1, 5)
-        );
     }
 }

@@ -7,12 +7,12 @@
 //!   resolved once at startup; every subsequent [`Counter::inc`] /
 //!   [`Counter::add`] is a single relaxed `fetch_add` — no lock, no
 //!   allocation, no name lookup. This is the hot-path contract: a querier
-//!   bumping `sent_total` per batch costs the same as the `progress`
-//!   counter it rode along with before this crate existed.
+//!   counts every send, answer and fault in such handles, and its final
+//!   report is a snapshot of them.
 //! * **Observed** metrics ([`Registry::observe_counter`] /
 //!   [`Registry::observe_gauge`]) wrap a closure over state some subsystem
-//!   already maintains (fault-counter atomics, queue-depth cells, the
-//!   in-flight count under the pending lock). The closure runs only at
+//!   already maintains (queue-depth cells, the in-flight count under the
+//!   pending lock). The closure runs only at
 //!   snapshot time — scrape cadence, not send cadence — so instrumenting an
 //!   existing atomic is free on the hot path by construction.
 //!
