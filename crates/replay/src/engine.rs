@@ -865,10 +865,12 @@ impl QuerierTask {
                 wire_stamp_us = self.epoch.elapsed().as_micros() as u64;
                 // Any tail the kernel refuses goes out individually; a
                 // datagram that still fails degrades its record.
-                let refs: Vec<&[u8]> = queued.iter().map(|q| q.2.as_slice()).collect();
-                let sent_n = socket.send_many_to(&refs, self.server).await.unwrap_or(0);
+                let sent_n = socket
+                    .send_many_to(queued.iter().map(|q| q.2.as_slice()), self.server)
+                    .await
+                    .unwrap_or(0);
                 errs = vec![None; queued.len()];
-                for (x, wire) in refs.iter().enumerate().skip(sent_n) {
+                for (x, (_, _, wire)) in queued.iter().enumerate().skip(sent_n) {
                     if socket.send_to(wire, self.server).await.is_err() {
                         errs[x] = Some(ReplayError::Send);
                         shard.pending.lock().remove(queued[x].1);

@@ -386,6 +386,8 @@ struct RecvLoop {
     sources: Vec<Source>,
     events: Vec<EpollEvent>,
     bufs: Vec<Vec<u8>>,
+    /// `(length, peer)` of each datagram the last `recvmmsg` read.
+    received: Vec<(usize, SocketAddr)>,
     scratch: Vec<u8>,
     /// Answer ids read in this wakeup, matched under one lock.
     answers: Vec<u16>,
@@ -400,6 +402,7 @@ impl RecvLoop {
             sources: Vec::new(),
             events: vec![EpollEvent { events: 0, data: 0 }; EVENTS],
             bufs: (0..RECV_BATCH).map(|_| vec![0u8; RECV_BUF]).collect(),
+            received: Vec::with_capacity(RECV_BATCH),
             scratch: vec![0u8; TCP_READ],
             answers: Vec::new(),
             due: Vec::new(),
@@ -446,8 +449,11 @@ impl RecvLoop {
             Source::Udp(socket) => {
                 // An error here is a consumed ICMP report (or nothing
                 // queued); either way the socket stays registered.
-                if let Ok(received) = socket.try_recv_many(&mut self.bufs) {
-                    for (buf, &(len, _)) in self.bufs.iter().zip(&received) {
+                if socket
+                    .try_recv_many(&mut self.bufs, &mut self.received)
+                    .is_ok()
+                {
+                    for (buf, &(len, _)) in self.bufs.iter().zip(&self.received) {
                         if len >= 2 {
                             self.answers.push(u16::from_be_bytes([buf[0], buf[1]]));
                         }

@@ -9,7 +9,7 @@
 use std::net::IpAddr;
 use std::sync::Arc;
 
-use ldp_wire::{Message, Opcode, Rcode};
+use ldp_wire::{Message, Opcode, Rcode, WireError};
 use ldp_zone::{LookupOutcome, ViewTable, ZoneSet};
 
 /// How the engine finds zones for a client.
@@ -52,6 +52,37 @@ impl AuthEngine {
     /// Produces the response for a query. `over_stream` disables UDP
     /// truncation (TCP/TLS carry any size).
     pub fn respond(&self, client: IpAddr, query: &Message, over_stream: bool) -> Message {
+        let mut resp = self.answer(client, query);
+        let limit = self.udp_limit(query);
+        if !over_stream && resp.wire_size_estimate() > limit {
+            // Decides truncation on the real encoding; the caller encodes
+            // the result again.
+            let _ = encode_truncating(&mut resp, limit, &mut Vec::new());
+        }
+        resp
+    }
+
+    /// Appends the wire form of the response to `query` to `out`: the bytes
+    /// `respond(..).to_bytes()` produces, from one encode. Only a UDP
+    /// response that must be truncated is encoded a second time, emptied.
+    /// On error `out` is left as it was.
+    pub fn respond_into(
+        &self,
+        client: IpAddr,
+        query: &Message,
+        over_stream: bool,
+        out: &mut Vec<u8>,
+    ) -> Result<(), WireError> {
+        let mut resp = self.answer(client, query);
+        if over_stream {
+            resp.encode_into(out)
+        } else {
+            encode_truncating(&mut resp, self.udp_limit(query), out)
+        }
+    }
+
+    /// The full response, before any truncation.
+    fn answer(&self, client: IpAddr, query: &Message) -> Message {
         let mut resp = Message::response_for(query);
         if query.header.opcode != Opcode::Query {
             resp.header.rcode = Rcode::NotImp;
@@ -105,35 +136,18 @@ impl AuthEngine {
                 }
             },
         }
-        if !over_stream {
-            self.truncate_if_needed(query, &mut resp);
-        }
         resp
     }
 
-    /// RFC 2181 §9 truncation: if the encoded response exceeds the client's
-    /// advertised limit, strip the record sections and set TC so the client
-    /// retries over TCP.
-    fn truncate_if_needed(&self, query: &Message, resp: &mut Message) {
-        let limit = query
+    /// The client's UDP response limit: its EDNS payload size, never less
+    /// than the plain-DNS limit.
+    fn udp_limit(&self, query: &Message) -> usize {
+        query
             .edns
             .as_ref()
             .map(|e| e.udp_payload_size as usize)
             .unwrap_or(self.plain_udp_limit)
-            .max(self.plain_udp_limit);
-        if resp.wire_size_estimate() <= limit {
-            return;
-        }
-        // Check the real encoding (compression may fit under the limit).
-        match resp.to_bytes() {
-            Ok(bytes) if bytes.len() <= limit => {}
-            _ => {
-                resp.answers.clear();
-                resp.authorities.clear();
-                resp.additionals.clear();
-                resp.header.truncated = true;
-            }
-        }
+            .max(self.plain_udp_limit)
     }
 
     /// Serves the canonical emulation scenario: is this engine configured
@@ -141,6 +155,28 @@ impl AuthEngine {
     pub fn is_split_horizon(&self) -> bool {
         matches!(self.source, ZoneSource::Views(_))
     }
+}
+
+/// Appends `resp` to `out` with RFC 2181 §9 truncation: if the encoded
+/// response exceeds `limit`, the record sections are stripped and TC set
+/// so the client retries over TCP. Only a response whose uncompressed size
+/// estimate is over the limit can need it, so only those are measured.
+fn encode_truncating(resp: &mut Message, limit: usize, out: &mut Vec<u8>) -> Result<(), WireError> {
+    if resp.wire_size_estimate() <= limit {
+        return resp.encode_into(out);
+    }
+    let start = out.len();
+    if resp.encode_into(out).is_ok() {
+        if out.len() - start <= limit {
+            return Ok(());
+        }
+        out.truncate(start);
+    }
+    resp.answers.clear();
+    resp.authorities.clear();
+    resp.additionals.clear();
+    resp.header.truncated = true;
+    resp.encode_into(out)
 }
 
 #[cfg(test)]

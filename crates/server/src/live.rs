@@ -1,11 +1,14 @@
-//! Live authoritative server on real sockets (tokio).
+//! Live authoritative server on real sockets.
 //!
 //! The replay-fidelity experiments (§4) measure the *replay engine* against
 //! real time, so they need a real server to answer: this module serves the
-//! same [`AuthEngine`] over loopback UDP and TCP. Event-driven, one task per
-//! TCP connection, no blocking calls on the runtime — per the async
-//! networking guidance this codebase follows. Dropping the server stops
-//! both serving loops and releases both ports.
+//! same [`AuthEngine`] over loopback UDP and TCP. It runs on the vendored
+//! `tokio` stub, where every spawned task is an OS thread and every socket
+//! call blocks: one thread runs the UDP loop (`recvmmsg` in, `sendmmsg`
+//! out), one accepts TCP connections, and each accepted connection is
+//! served by a blocking thread of its own until its client closes it.
+//! Dropping the server stops the UDP and accept loops and releases both
+//! ports; connection threads end with their connections.
 
 use std::io;
 use std::net::SocketAddr;
@@ -40,9 +43,9 @@ pub struct LiveStats {
     /// inside the serving loop; only the counters are shared).
     pub pktcache: Arc<CacheStats>,
     /// Server-side handle time (µs) per query: parse through response
-    /// encode, excluding the outbound send. UDP amortizes one measurement
-    /// across each `recvmmsg` batch (the lock is taken per batch, not per
-    /// query); TCP records each query individually.
+    /// encode, excluding the outbound send. One measurement is amortized
+    /// across each `recvmmsg` batch (UDP) or each read's complete frames
+    /// (TCP), so the lock is taken per wakeup, not per query.
     handle_us: Mutex<LogHistogram>,
 }
 
@@ -307,8 +310,70 @@ impl LiveServer {
 /// syscall cost from two per query to two per batch.
 const UDP_BATCH: usize = 64;
 
-/// Routes each UDP response through the chaos policy's fate for it (or
-/// delivers unconditionally when no policy is installed).
+/// The responses of one `recvmmsg` batch, each encoded straight into a
+/// buffer kept from earlier batches, so steady-state serving allocates
+/// nothing for its answers.
+struct Replies {
+    /// Buffers with their destinations; only the first `len` are this
+    /// batch's.
+    slots: Vec<(Vec<u8>, SocketAddr)>,
+    len: usize,
+}
+
+impl Replies {
+    fn new() -> Replies {
+        Replies {
+            slots: Vec::with_capacity(UDP_BATCH),
+            len: 0,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// An empty buffer for the next response, addressed to `peer`.
+    fn push(&mut self, peer: SocketAddr) -> &mut Vec<u8> {
+        if self.len == self.slots.len() {
+            self.slots.push((Vec::with_capacity(512), peer));
+        }
+        let slot = &mut self.slots[self.len];
+        self.len += 1;
+        slot.0.clear();
+        slot.1 = peer;
+        &mut slot.0
+    }
+
+    /// Takes back the last pushed response.
+    fn pop(&mut self) {
+        self.len = self.len.saturating_sub(1);
+    }
+
+    /// Queues a second copy of the last response.
+    fn duplicate_last(&mut self) {
+        let Some(last) = self.len.checked_sub(1) else {
+            return;
+        };
+        let peer = self.slots[last].1;
+        self.push(peer);
+        let (done, next) = self.slots.split_at_mut(last + 1);
+        next[0].0.extend_from_slice(&done[last].0);
+    }
+
+    fn last(&self) -> Option<&[u8]> {
+        let last = self.len.checked_sub(1)?;
+        Some(&self.slots[last].0)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&[u8], SocketAddr)> {
+        self.slots[..self.len]
+            .iter()
+            .map(|(bytes, peer)| (bytes.as_slice(), *peer))
+    }
+}
+
+/// Applies the chaos policy's fate to each UDP response (or delivers
+/// unconditionally when no policy is installed).
 struct ReplyRouter {
     socket: Arc<UdpSocket>,
     stats: Arc<LiveStats>,
@@ -317,28 +382,22 @@ struct ReplyRouter {
 }
 
 impl ReplyRouter {
-    /// Queues one response onto `replies` (delayed fates are sent out of
-    /// band). `query_wire` must be the id-zeroed query so retransmits of
-    /// the same query share a sighting sequence.
-    fn queue(
-        &self,
-        replies: &mut Vec<(Vec<u8>, SocketAddr)>,
-        query_wire: &[u8],
-        bytes: Vec<u8>,
-        peer: SocketAddr,
-    ) {
+    /// Decides the fate of the response just pushed onto `replies`: kept,
+    /// taken back, doubled, or taken back and sent out of band later.
+    /// `query_wire` must be the id-zeroed query so retransmits of the same
+    /// query share a sighting sequence.
+    fn route(&self, replies: &mut Replies, query_wire: &[u8], peer: SocketAddr) {
         let fate = match &self.chaos {
             Some(c) => c.response_fate(query_wire, self.started.elapsed()),
             None => ResponseFate::Deliver,
         };
         match fate {
-            ResponseFate::Deliver => replies.push((bytes, peer)),
-            ResponseFate::Drop => {}
-            ResponseFate::Duplicate => {
-                replies.push((bytes.clone(), peer));
-                replies.push((bytes, peer));
-            }
+            ResponseFate::Deliver => {}
+            ResponseFate::Drop => replies.pop(),
+            ResponseFate::Duplicate => replies.duplicate_last(),
             ResponseFate::Delay(by) => {
+                let bytes = replies.last().map(<[u8]>::to_vec).unwrap_or_default();
+                replies.pop();
                 let socket = self.socket.clone();
                 let stats = self.stats.clone();
                 tokio::spawn(async move {
@@ -367,63 +426,61 @@ async fn serve_udp(
         started: Instant::now(),
     };
     let mut bufs: Vec<Vec<u8>> = (0..UDP_BATCH).map(|_| vec![0u8; 65_535]).collect();
-    let mut replies: Vec<(Vec<u8>, SocketAddr)> = Vec::with_capacity(UDP_BATCH);
+    let mut received: Vec<(usize, SocketAddr)> = Vec::with_capacity(UDP_BATCH);
+    let mut replies = Replies::new();
     // Answers are deterministic over static zones, so identical query
     // wires (ignoring the id) short-circuit the parse → lookup → encode
     // path entirely; see [`crate::pktcache`].
     let mut cache = PacketCache::with_stats(8_192, stats.pktcache.clone());
     loop {
-        let Ok(received) = socket.recv_many(&mut bufs).await else {
+        if socket.recv_many(&mut bufs, &mut received).await.is_err() {
             continue;
-        };
+        }
         if stop.load(Ordering::Relaxed) {
             return;
         }
         let handle_start = Instant::now();
         let queries_before = stats.udp_queries.load(Ordering::Relaxed);
         replies.clear();
-        for (i, &(len, peer)) in received.iter().enumerate() {
-            let buf = &mut bufs[i];
-            if len >= 2 {
-                // Zero the id in place: the cache key must match across
-                // retransmits, and parsing doesn't need it (the response
-                // id is patched from `id` either way).
-                let id = u16::from_be_bytes([buf[0], buf[1]]);
-                buf[0] = 0;
-                buf[1] = 0;
-                if let Some(bytes) = cache.get(peer.ip(), &buf[..len], id) {
-                    stats.udp_queries.fetch_add(1, Ordering::Relaxed);
-                    stats
-                        .response_bytes
-                        .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                    router.queue(&mut replies, &buf[..len], bytes, peer);
-                    continue;
-                }
-                let Ok(query) = Message::from_bytes(&buf[..len]) else {
+        for (buf, &(len, peer)) in bufs.iter_mut().zip(&received) {
+            if len < 2 {
+                stats.malformed.fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
+            // Zero the id in place: the cache key must match across
+            // retransmits, and parsing doesn't need it (the response id is
+            // patched from `id` either way).
+            let id = u16::from_be_bytes([buf[0], buf[1]]);
+            buf[0] = 0;
+            buf[1] = 0;
+            let query_wire = &buf[..len];
+            let out = replies.push(peer);
+            if !cache.get_into(peer.ip(), query_wire, id, out) {
+                let Ok(query) = Message::from_bytes(query_wire) else {
                     stats.malformed.fetch_add(1, Ordering::Relaxed);
+                    replies.pop();
                     continue;
                 };
                 stats.udp_queries.fetch_add(1, Ordering::Relaxed);
-                let resp = engine.respond(peer.ip(), &query, false);
-                if let Ok(mut bytes) = resp.to_bytes() {
-                    cache.put(peer.ip(), &buf[..len], &bytes);
-                    bytes[0..2].copy_from_slice(&id.to_be_bytes());
-                    stats
-                        .response_bytes
-                        .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                    router.queue(&mut replies, &buf[..len], bytes, peer);
+                if engine.respond_into(peer.ip(), &query, false, out).is_err() {
+                    replies.pop();
+                    continue;
                 }
+                cache.put(peer.ip(), query_wire, out);
+                out[0..2].copy_from_slice(&id.to_be_bytes());
             } else {
-                stats.malformed.fetch_add(1, Ordering::Relaxed);
+                stats.udp_queries.fetch_add(1, Ordering::Relaxed);
             }
+            stats
+                .response_bytes
+                .fetch_add(out.len() as u64, Ordering::Relaxed);
+            router.route(&mut replies, query_wire, peer);
         }
         let handled = stats.udp_queries.load(Ordering::Relaxed) - queries_before;
         stats.record_handle(handle_start.elapsed().as_micros() as u64, handled);
-        let msgs: Vec<(&[u8], SocketAddr)> =
-            replies.iter().map(|(b, p)| (b.as_slice(), *p)).collect();
-        let sent = socket.send_many_to_each(&msgs).await.unwrap_or(0);
-        for (bytes, peer) in &msgs[sent..] {
-            if socket.send_to(bytes, *peer).await.is_err() {
+        let sent = socket.send_many_to_each(replies.iter()).await.unwrap_or(0);
+        for (bytes, peer) in replies.iter().skip(sent) {
+            if socket.send_to(bytes, peer).await.is_err() {
                 stats.send_failures.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -460,6 +517,14 @@ async fn serve_tcp(
     }
 }
 
+/// Initial size of a connection's receive buffer; it grows only for a
+/// frame that does not fit.
+const TCP_READ: usize = 2_048;
+
+/// Serves one connection: each wakeup reads whatever is queued with one
+/// `read`, answers every complete frame in it, encoding each answer after
+/// a 2-byte length placeholder that is then patched, and sends all the
+/// answers with one `write_all`. A partial frame waits for the next read.
 async fn serve_tcp_conn(
     mut stream: tokio::net::TcpStream,
     peer: SocketAddr,
@@ -469,38 +534,76 @@ async fn serve_tcp_conn(
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let mut served = 0u64;
+    // Received bytes not yet answered are `inbuf[start..end]`.
+    let mut inbuf = vec![0u8; TCP_READ];
+    let (mut start, mut end) = (0usize, 0usize);
+    let mut out: Vec<u8> = Vec::new();
     loop {
-        // RFC 1035 §4.2.2 framing: 2-byte length, then the message.
-        let mut lenbuf = [0u8; 2];
-        match stream.read_exact(&mut lenbuf).await {
-            Ok(_) => {}
-            Err(_) => return Ok(()), // peer closed
+        // Keep a partial frame at the front, with room after it.
+        inbuf.copy_within(start..end, 0);
+        end -= start;
+        start = 0;
+        if end == inbuf.len() {
+            inbuf.resize(inbuf.len() * 2, 0);
         }
-        let len = u16::from_be_bytes(lenbuf) as usize;
-        let mut msg = vec![0u8; len];
-        stream.read_exact(&mut msg).await?;
-        let handle_start = Instant::now();
-        let Ok(query) = Message::from_bytes(&msg) else {
-            stats.malformed.fetch_add(1, Ordering::Relaxed);
-            continue;
+        let n = match stream.read(&mut inbuf[end..]).await {
+            Ok(0) => return Ok(()), // peer closed
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => return Ok(()),
         };
-        stats.tcp_queries.fetch_add(1, Ordering::Relaxed);
-        let resp = engine.respond(peer.ip(), &query, true);
-        let Ok(bytes) = resp.to_bytes() else { continue };
-        stats
-            .response_bytes
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        let framed = ldp_wire::framing::frame_message(&bytes)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "oversized response"))?;
-        stats.record_handle(handle_start.elapsed().as_micros() as u64, 1);
-        stream.write_all(&framed).await?;
-        served += 1;
-        // Injected mid-conversation reset: close after serving the
-        // configured number of queries on this connection.
-        if chaos.as_ref().is_some_and(|c| c.should_reset(served)) {
+        end += n;
+        let handle_start = Instant::now();
+        let mut answered = 0u64;
+        let mut reset = false;
+        out.clear();
+        // RFC 1035 §4.2.2 framing: 2-byte length, then the message.
+        while let Some(frame) = inbuf.get(start..end).and_then(complete_frame) {
+            let query = Message::from_bytes(frame);
+            start += 2 + frame.len();
+            let Ok(query) = query else {
+                stats.malformed.fetch_add(1, Ordering::Relaxed);
+                continue;
+            };
+            stats.tcp_queries.fetch_add(1, Ordering::Relaxed);
+            let at = out.len();
+            out.extend_from_slice(&[0, 0]);
+            if engine
+                .respond_into(peer.ip(), &query, true, &mut out)
+                .is_err()
+            {
+                out.truncate(at);
+                continue;
+            }
+            // `encode_into` refuses messages over 65,535 octets.
+            let len = u16::try_from(out.len() - at - 2).unwrap_or(u16::MAX);
+            out[at..at + 2].copy_from_slice(&len.to_be_bytes());
+            stats
+                .response_bytes
+                .fetch_add(u64::from(len), Ordering::Relaxed);
+            answered += 1;
+            served += 1;
+            // Injected mid-conversation reset: close after serving the
+            // configured number of queries on this connection.
+            if chaos.as_ref().is_some_and(|c| c.should_reset(served)) {
+                reset = true;
+                break;
+            }
+        }
+        stats.record_handle(handle_start.elapsed().as_micros() as u64, answered);
+        if !out.is_empty() {
+            stream.write_all(&out).await?;
+        }
+        if reset {
             return Ok(());
         }
     }
+}
+
+/// The message of the first frame in `buf`, if all of it has arrived.
+fn complete_frame(buf: &[u8]) -> Option<&[u8]> {
+    let len = usize::from(u16::from_be_bytes([*buf.first()?, *buf.get(1)?]));
+    buf.get(2..2 + len)
 }
 
 #[cfg(test)]
@@ -582,6 +685,44 @@ mod tests {
             3,
             "one handle-time sample per TCP query"
         );
+    }
+
+    #[tokio::test]
+    async fn tcp_pipelined_frames_split_anywhere_are_answered_in_order() {
+        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
+            .await
+            .unwrap();
+        let mut stream = tokio::net::TcpStream::connect(server.addr).await.unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut wire = Vec::new();
+        let mut starts = Vec::new();
+        for i in 0..5u16 {
+            starts.push(wire.len());
+            let q = Message::query(i, n(&format!("p{i}.wild.example.com")), RrType::A);
+            wire.extend(ldp_wire::framing::frame_message(&q.to_bytes().unwrap()).unwrap());
+        }
+        // One cut between the two length octets of frame 1, one inside
+        // the body of frame 3; each piece goes out in its own segment.
+        let cuts = [0, starts[1] + 1, starts[3] + 2 + 5, wire.len()];
+        for piece in cuts.windows(2) {
+            stream.write_all(&wire[piece[0]..piece[1]]).await.unwrap();
+            tokio::time::sleep(Duration::from_millis(30)).await;
+        }
+        for i in 0..5u16 {
+            let mut lenbuf = [0u8; 2];
+            stream.read_exact(&mut lenbuf).await.unwrap();
+            let mut msg = vec![0u8; u16::from_be_bytes(lenbuf) as usize];
+            stream.read_exact(&mut msg).await.unwrap();
+            let resp = Message::from_bytes(&msg).unwrap();
+            assert_eq!(resp.header.id, i, "answers come back in query order");
+            assert_eq!(
+                resp.questions[0].qname,
+                n(&format!("p{i}.wild.example.com"))
+            );
+            assert_eq!(resp.answers.len(), 1);
+        }
+        assert_eq!(server.stats.tcp_queries.load(Ordering::Relaxed), 5);
+        assert_eq!(server.stats.handle_hist().count(), 5);
     }
 
     #[tokio::test]

@@ -60,18 +60,26 @@ impl PacketCache {
     /// Looks up `wire` (already id-zeroed) for `client`. On a hit, returns
     /// the response bytes with `id` patched in.
     pub fn get(&mut self, client: IpAddr, wire: &[u8], id: u16) -> Option<Vec<u8>> {
+        let mut bytes = Vec::new();
+        self.get_into(client, wire, id, &mut bytes).then_some(bytes)
+    }
+
+    /// Like [`PacketCache::get`], but on a hit appends the response to
+    /// `out` (a buffer the caller reuses) and returns true.
+    pub fn get_into(&mut self, client: IpAddr, wire: &[u8], id: u16, out: &mut Vec<u8>) -> bool {
         match self.map.get(wire) {
             Some((ip, template)) if *ip == client => {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                let mut bytes = template.clone();
-                if bytes.len() >= 2 {
-                    bytes[0..2].copy_from_slice(&id.to_be_bytes());
+                let at = out.len();
+                out.extend_from_slice(template);
+                if template.len() >= 2 {
+                    out[at..at + 2].copy_from_slice(&id.to_be_bytes());
                 }
-                Some(bytes)
+                true
             }
             _ => {
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
+                false
             }
         }
     }

@@ -30,7 +30,7 @@ mod wirebuf;
 pub use edns::{Edns, EdnsOption};
 pub use error::WireError;
 pub use message::{Header, Message, Opcode, Question, Rcode};
-pub use name::Name;
+pub use name::{Name, NameBuf, NameRef};
 pub use rdata::{RData, SoaData};
 pub use record::Record;
 pub use rr::{RrClass, RrType};

@@ -260,15 +260,58 @@ impl Message {
 
     /// Encodes to wire format with name compression.
     pub fn to_bytes(&self) -> Result<Vec<u8>, WireError> {
-        self.encode_with(WireWriter::new())
+        let mut out = Vec::with_capacity(self.wire_size_estimate());
+        self.encode_into(&mut out)?;
+        Ok(out)
     }
 
     /// Encodes without name compression (ablation path).
     pub fn to_bytes_uncompressed(&self) -> Result<Vec<u8>, WireError> {
-        self.encode_with(WireWriter::uncompressed())
+        let mut out = Vec::with_capacity(self.wire_size_estimate());
+        self.encode_with(&mut out, false)?;
+        Ok(out)
     }
 
-    fn encode_with(&self, mut w: WireWriter) -> Result<Vec<u8>, WireError> {
+    /// Appends the compressed wire form to `out`, after whatever it already
+    /// holds (a stream length prefix, earlier answers). Compression
+    /// pointers count from where this message starts. On error `out` is
+    /// left as it was. Into a buffer with room to spare, this allocates
+    /// only when the message has more distinct name suffixes than the
+    /// writer's inline compression table holds.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        self.encode_with(out, true)
+    }
+
+    fn encode_with(&self, out: &mut Vec<u8>, compress: bool) -> Result<(), WireError> {
+        let start = out.len();
+        let mut w = WireWriter::appending(std::mem::take(out), compress);
+        let written = self.write(&mut w);
+        *out = w.into_bytes();
+        let len = out.len() - start;
+        let result = written.and_then(|()| {
+            if len > usize::from(u16::MAX) {
+                Err(WireError::MessageTooLong(len))
+            } else {
+                Ok(())
+            }
+        });
+        if result.is_err() {
+            out.truncate(start);
+            return result;
+        }
+        // Debug-build invariant: encoding is lossless — decoding the bytes
+        // we just produced yields this message back. Assumes canonical
+        // headers (opcode/rcode values fit their 4-bit wire fields), which
+        // every constructor in this crate maintains.
+        debug_assert_eq!(
+            Message::from_bytes(&out[start..]).as_ref(),
+            Ok(self),
+            "encode→decode round-trip must be lossless"
+        );
+        Ok(())
+    }
+
+    fn write(&self, w: &mut WireWriter) -> Result<(), WireError> {
         w.put_u16(self.header.id);
         w.put_u16(self.header.flags_word());
         let counts = [
@@ -291,25 +334,12 @@ impl Message {
             .chain(self.authorities.iter())
             .chain(self.additionals.iter())
         {
-            rec.encode(&mut w)?;
+            rec.encode(w)?;
         }
         if let Some(edns) = &self.edns {
-            edns.encode(&mut w)?;
+            edns.encode(w)?;
         }
-        let bytes = w.into_bytes();
-        if bytes.len() > u16::MAX as usize {
-            return Err(WireError::MessageTooLong(bytes.len()));
-        }
-        // Debug-build invariant: encoding is lossless — decoding the bytes
-        // we just produced yields this message back. Assumes canonical
-        // headers (opcode/rcode values fit their 4-bit wire fields), which
-        // every constructor in this crate maintains.
-        debug_assert_eq!(
-            Message::from_bytes(&bytes).as_ref(),
-            Ok(self),
-            "encode→decode round-trip must be lossless"
-        );
-        Ok(bytes)
+        Ok(())
     }
 
     /// Decodes a message from wire format.

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ldp_wire::{Name, RrType};
+use ldp_wire::{Name, NameRef, RrType};
 
 use crate::lookup::LookupOutcome;
 use crate::zone::Zone;
@@ -27,7 +27,7 @@ impl ZoneSet {
     }
 
     /// Looks up a zone by exact origin.
-    pub fn get(&self, origin: &Name) -> Option<&Arc<Zone>> {
+    pub fn get(&self, origin: &NameRef) -> Option<&Arc<Zone>> {
         self.zones.get(origin)
     }
 
@@ -48,18 +48,15 @@ impl ZoneSet {
 
     /// Finds the zone with the longest origin that is an ancestor of (or
     /// equal to) `qname` — standard "closest enclosing zone" selection.
-    pub fn find_zone(&self, qname: &Name) -> Option<&Arc<Zone>> {
-        let mut keep = qname.label_count();
-        loop {
-            let candidate = qname.ancestor(keep)?;
-            if let Some(z) = self.zones.get(&candidate) {
+    pub fn find_zone(&self, qname: &NameRef) -> Option<&Arc<Zone>> {
+        let mut candidate = Some(qname);
+        while let Some(name) = candidate {
+            if let Some(z) = self.zones.get(name) {
                 return Some(z);
             }
-            if keep == 0 {
-                return None;
-            }
-            keep -= 1;
+            candidate = name.parent();
         }
+        None
     }
 
     /// Convenience: select the best zone and run a lookup in it.
