@@ -1,8 +1,10 @@
 //! Authoritative-engine benchmarks: per-query response cost for the
 //! response kinds a root server actually serves (this is the 87 k q/s
-//! budget of §4.3 from the server's side).
+//! budget of §4.3 from the server's side). Each line also reports
+//! allocations per iteration.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use ldp_bench::alloc::{thread_allocs, CountingAlloc};
 use ldp_server::auth::AuthEngine;
 use ldp_wire::{Edns, Message, Name, RrType};
 use ldp_workload::zones::{signed_root_zone, synthetic_root_zone};
@@ -10,6 +12,13 @@ use ldp_zone::dnssec::SigningConfig;
 use ldp_zone::ZoneSet;
 use std::net::IpAddr;
 use std::sync::Arc;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+fn count_allocations(_: &mut Criterion) {
+    criterion::count_allocations_with(thread_allocs);
+}
 
 fn engine(signed: bool) -> AuthEngine {
     let mut set = ZoneSet::new();
@@ -54,8 +63,18 @@ fn bench_respond(c: &mut Criterion) {
             signed.respond(client, &q, false).to_bytes().unwrap()
         })
     });
+    // The live server's form: one encode into a buffer it reuses.
+    let mut out = Vec::with_capacity(4096);
+    g.bench_function("decode_respond_into_warm_buffer", |b| {
+        b.iter(|| {
+            out.clear();
+            let q = Message::from_bytes(black_box(&wire_q)).unwrap();
+            signed.respond_into(client, &q, false, &mut out).unwrap();
+            out.len()
+        })
+    });
     g.finish();
 }
 
-criterion_group!(benches, bench_respond);
+criterion_group!(benches, count_allocations, bench_respond);
 criterion_main!(benches);

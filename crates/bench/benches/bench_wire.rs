@@ -1,9 +1,18 @@
 //! Wire codec microbenchmarks, including the compression ablation called
 //! out in DESIGN.md: name compression costs a hash lookup per label but
-//! shrinks referral responses substantially.
+//! shrinks referral responses substantially. Each line also reports
+//! allocations per iteration.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use ldp_bench::alloc::{thread_allocs, CountingAlloc};
 use ldp_wire::{Edns, Message, Name, RData, Record, RrType};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+fn count_allocations(_: &mut Criterion) {
+    criterion::count_allocations_with(thread_allocs);
+}
 
 fn referral_response() -> Message {
     let n = |s: &str| Name::parse(s).unwrap();
@@ -32,6 +41,15 @@ fn bench_encode(c: &mut Criterion) {
     });
     g.bench_function("uncompressed", |b| {
         b.iter(|| black_box(&msg).to_bytes_uncompressed().unwrap())
+    });
+    // The server's form: appended to a buffer reused across messages.
+    let mut out = Vec::with_capacity(1024);
+    g.bench_function("compressed_into_warm_buffer", |b| {
+        b.iter(|| {
+            out.clear();
+            black_box(&msg).encode_into(&mut out).unwrap();
+            out.len()
+        })
     });
     let compressed = msg.to_bytes().unwrap().len();
     let plain = msg.to_bytes_uncompressed().unwrap().len();
@@ -68,5 +86,11 @@ fn bench_name(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_encode, bench_decode, bench_name);
+criterion_group!(
+    benches,
+    count_allocations,
+    bench_encode,
+    bench_decode,
+    bench_name
+);
 criterion_main!(benches);

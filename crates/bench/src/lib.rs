@@ -12,6 +12,8 @@
 
 use std::path::PathBuf;
 
+pub mod alloc;
+
 pub use ldp_metrics::{Cdf, LogHistogram, Report, Summary};
 pub use ldp_obs::RunManifest;
 
